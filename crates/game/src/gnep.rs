@@ -103,9 +103,11 @@ impl<A: ConvexSet, B: ConvexSet> ConvexSet for IntersectionSet<A, B> {
         // Dykstra converges for any pair of closed convex sets with
         // non-empty intersection; if the iteration cap is hit we fall back
         // to the last (feasible up to tolerance) iterate produced by
-        // alternating projections.
+        // alternating projections, and count that in
+        // `numerics.dykstra.fallback`.
         if mbm_numerics::projection::dykstra(&self.a, &self.b, x, self.tol, self.max_iter).is_err()
         {
+            mbm_obs::global().incr("numerics.dykstra.fallback");
             for _ in 0..64 {
                 self.a.project(x);
                 self.b.project(x);
@@ -336,6 +338,23 @@ mod tests {
         let a = BoxSet::nonnegative(2);
         let b = Halfspace::new(vec![1.0], 1.0).unwrap();
         assert!(IntersectionSet::new(a, b).is_err());
+    }
+
+    #[test]
+    fn dykstra_fallback_is_counted() {
+        let product = ProductSet::new(vec![Box::new(BoxSet::nonnegative(2))]).unwrap();
+        let hs = Halfspace::new(vec![1.0, 1.0], 1.0).unwrap();
+        let capped = IntersectionSet { max_iter: 1, ..IntersectionSet::new(product, hs).unwrap() };
+        let rec = mbm_obs::global();
+        let fallbacks = || rec.snapshot().counters.get("numerics.dykstra.fallback").copied();
+        rec.set_enabled(true);
+        let before = fallbacks().unwrap_or(0);
+        let mut x = vec![2.0, -1.0];
+        capped.project(&mut x);
+        let after = fallbacks().unwrap_or(0);
+        rec.set_enabled(false);
+        assert_eq!(after, before + 1, "one capped projection, one fallback");
+        assert!(capped.contains(&x, 1e-9), "fallback still lands in the set: {x:?}");
     }
 
     #[test]

@@ -13,6 +13,8 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+use std::cell::Cell;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::NumericsError;
@@ -171,11 +173,12 @@ impl ConvexSet for BudgetSet {
 
     /// Exact projection via the breakpoint method.
     ///
-    /// Projecting onto `{x ≥ 0, p·x ≤ B}` either reduces to clipping at zero
-    /// (if the clipped point is affordable) or to solving
+    /// Negative coordinates are clipped to zero first. If the clipped point
+    /// is affordable that is the projection, and nothing else runs. Only
+    /// otherwise does the breakpoint search run: it solves
     /// `Σᵢ pᵢ · max(0, xᵢ − μ pᵢ) = B` for the multiplier `μ ≥ 0`, a
-    /// piecewise-linear decreasing equation solved exactly by sorting the
-    /// breakpoints `xᵢ / pᵢ`.
+    /// piecewise-linear decreasing equation, by walking the breakpoints
+    /// `xᵢ / pᵢ` in ascending order. The walk uses no heap buffer.
     fn project(&self, x: &mut [f64]) {
         assert_eq!(x.len(), self.dim(), "BudgetSet::project: dimension mismatch");
         for xi in x.iter_mut() {
@@ -186,21 +189,14 @@ impl ConvexSet for BudgetSet {
         if self.cost(x) <= self.budget {
             return;
         }
-        // Breakpoints where coordinates hit zero as mu grows.
-        let mut bps: Vec<f64> = x
-            .iter()
-            .zip(&self.prices)
-            .filter(|(&xi, _)| xi > 0.0)
-            .map(|(&xi, &pi)| xi / pi)
-            .collect();
-        bps.sort_by(|a, b| a.partial_cmp(b).expect("breakpoints are finite"));
         // cost(mu) = sum_i p_i * max(0, x_i - mu p_i): piecewise linear,
         // decreasing. Walk segments until it crosses the budget.
         let mut mu = 0.0;
         let mut cost = self.cost(x);
         let mut slope: f64 =
             x.iter().zip(&self.prices).filter(|(&xi, _)| xi > 0.0).map(|(_, &pi)| pi * pi).sum();
-        for &bp in &bps {
+        let mut next = next_breakpoint(x, &self.prices, f64::NEG_INFINITY, 0);
+        while let Some((bp, seen)) = next {
             let reach = cost - slope * (bp - mu);
             if reach <= self.budget {
                 break;
@@ -220,6 +216,7 @@ impl ConvexSet for BudgetSet {
             if slope <= 0.0 {
                 break;
             }
+            next = next_breakpoint(x, &self.prices, bp, seen);
         }
         if slope > 0.0 {
             mu += (cost - self.budget) / slope;
@@ -233,6 +230,30 @@ impl ConvexSet for BudgetSet {
         x.len() == self.dim()
             && x.iter().all(|&xi| xi >= -tol)
             && self.cost(x) <= self.budget + tol * (1.0 + self.budget.abs())
+    }
+}
+
+/// The breakpoint that follows `last` in the ascending sequence of the
+/// breakpoints `xᵢ / pᵢ` of the positive coordinates, repeats included: the
+/// sequence sorting them into a list would give, found by a linear scan
+/// instead. `last` is the breakpoint visited last (`-∞` before the first)
+/// and `seen` how many times its value has been visited; the result
+/// carries the same pair for the next call.
+fn next_breakpoint(x: &[f64], prices: &[f64], last: f64, seen: usize) -> Option<(f64, usize)> {
+    let mut repeats = 0;
+    let mut above: Option<f64> = None;
+    for (&xi, &pi) in x.iter().zip(prices).filter(|(&xi, _)| xi > 0.0) {
+        let bp = xi / pi;
+        if bp == last {
+            repeats += 1;
+        } else if bp > last && above.is_none_or(|m| bp < m) {
+            above = Some(bp);
+        }
+    }
+    if repeats > seen {
+        Some((last, seen + 1))
+    } else {
+        above.map(|bp| (bp, 1))
     }
 }
 
@@ -302,6 +323,14 @@ impl ConvexSet for Halfspace {
     }
 }
 
+thread_local! {
+    /// Scratch of [`dykstra`]: the increments `p` and `q`, the previous
+    /// iterate and the two projected points, `5n` values in one buffer. A
+    /// call takes it and puts it back when done, so a projection that nests
+    /// another `dykstra` call finds it empty and uses a buffer of its own.
+    static DYKSTRA_SCRATCH: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
 /// Projects onto the intersection of two convex sets by Dykstra's algorithm.
 ///
 /// Unlike alternating projections, Dykstra's algorithm converges to the true
@@ -309,11 +338,16 @@ impl ConvexSet for Halfspace {
 /// equilibrium arguments require. Used for the standalone-mode feasible set
 /// `{budget set} ∩ {Σ eᵢ ≤ E_max}`.
 ///
+/// The working vectors live in a per-thread scratch buffer: once a thread
+/// has projected a point of this dimension or a larger one, a call
+/// allocates nothing.
+///
 /// # Errors
 ///
 /// * [`NumericsError::InvalidInput`] if set dimensions disagree with `x`.
 /// * [`NumericsError::DidNotConverge`] if the iterates do not stabilize
-///   within `max_iter` sweeps (e.g. empty intersection).
+///   within `max_iter` sweeps (e.g. empty intersection); its residual is
+///   the last sweep's largest coordinate change.
 pub fn dykstra<A: ConvexSet, B: ConvexSet>(
     a: &A,
     b: &B,
@@ -325,36 +359,47 @@ pub fn dykstra<A: ConvexSet, B: ConvexSet>(
         return Err(NumericsError::invalid("dykstra: dimension mismatch"));
     }
     let n = x.len();
-    let mut p = vec![0.0; n];
-    let mut q = vec![0.0; n];
-    let mut prev = x.to_vec();
-    for iter in 0..max_iter {
+    let mut scratch = DYKSTRA_SCRATCH.take();
+    scratch.clear();
+    scratch.resize(5 * n, 0.0);
+    let (p, rest) = scratch.split_at_mut(n);
+    let (q, rest) = rest.split_at_mut(n);
+    let (prev, rest) = rest.split_at_mut(n);
+    let (y, z) = rest.split_at_mut(n);
+    prev.copy_from_slice(x);
+    let mut step = 0.0;
+    let mut converged = false;
+    for _ in 0..max_iter {
         // y = P_A(x + p); p = x + p - y
-        let mut y: Vec<f64> = x.iter().zip(&p).map(|(xi, pi)| xi + pi).collect();
-        a.project(&mut y);
+        for i in 0..n {
+            y[i] = x[i] + p[i];
+        }
+        a.project(y);
         for i in 0..n {
             p[i] = x[i] + p[i] - y[i];
         }
         // x = P_B(y + q); q = y + q - x
-        let mut z: Vec<f64> = y.iter().zip(&q).map(|(yi, qi)| yi + qi).collect();
-        b.project(&mut z);
+        for i in 0..n {
+            z[i] = y[i] + q[i];
+        }
+        b.project(z);
         for i in 0..n {
             q[i] = y[i] + q[i] - z[i];
             x[i] = z[i];
         }
-        if crate::max_abs_diff(x, &prev) < tol
-            && a.contains(x, tol.sqrt())
-            && b.contains(x, tol.sqrt())
-        {
-            return Ok(());
+        step = crate::max_abs_diff(x, prev);
+        if step < tol && a.contains(x, tol.sqrt()) && b.contains(x, tol.sqrt()) {
+            converged = true;
+            break;
         }
         prev.copy_from_slice(x);
-        let _ = iter;
     }
-    Err(NumericsError::DidNotConverge {
-        iterations: max_iter,
-        residual: crate::max_abs_diff(x, &prev),
-    })
+    DYKSTRA_SCRATCH.set(scratch);
+    if converged {
+        Ok(())
+    } else {
+        Err(NumericsError::DidNotConverge { iterations: max_iter, residual: step })
+    }
 }
 
 #[cfg(test)]
@@ -496,6 +541,47 @@ mod tests {
         let mut x = vec![2.0, -1.0];
         dykstra(&orthant, &hs, &mut x, 1e-12, 2000).unwrap();
         assert_vec_close(&x, &[1.0, 0.0], 1e-7);
+    }
+
+    /// `{x ≥ 0, x₁ + x₂ ≤ 1}` projected by an inner `dykstra` call.
+    struct Simplex;
+
+    impl ConvexSet for Simplex {
+        fn dim(&self) -> usize {
+            2
+        }
+
+        fn project(&self, x: &mut [f64]) {
+            let hs = Halfspace::new(vec![1.0, 1.0], 1.0).unwrap();
+            dykstra(&BoxSet::nonnegative(2), &hs, x, 1e-14, 10_000).unwrap();
+        }
+
+        fn contains(&self, x: &[f64], tol: f64) -> bool {
+            x.iter().all(|&v| v >= -tol) && x[0] + x[1] <= 1.0 + tol
+        }
+    }
+
+    #[test]
+    fn dykstra_nests_inside_a_projection() {
+        // Project (2, 2) onto the simplex ∩ {x₁ ≤ 0.25}: answer (0.25, 0.75).
+        let cap = Halfspace::new(vec![1.0, 0.0], 0.25).unwrap();
+        let mut x = vec![2.0, 2.0];
+        dykstra(&Simplex, &cap, &mut x, 1e-12, 10_000).unwrap();
+        assert_vec_close(&x, &[0.25, 0.75], 1e-6);
+    }
+
+    #[test]
+    fn dykstra_cap_reports_the_last_step() {
+        let orthant = BoxSet::nonnegative(2);
+        let hs = Halfspace::new(vec![1.0, 1.0], 1.0).unwrap();
+        let mut x = vec![2.0, -1.0];
+        match dykstra(&orthant, &hs, &mut x, 1e-12, 1) {
+            Err(NumericsError::DidNotConverge { iterations: 1, residual }) => {
+                // One sweep moves (2, -1) to (1.5, -0.5).
+                assert_eq!(residual, 0.5);
+            }
+            other => panic!("expected the iteration cap, got {other:?}"),
+        }
     }
 
     #[test]
